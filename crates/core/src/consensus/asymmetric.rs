@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::consensus::{Consensus, ObstructionFreeConsensus, ProposeOnce};
 use crate::error::ConsensusError;
@@ -45,7 +45,7 @@ use crate::liveness::Liveness;
 /// ```
 pub struct AsymmetricConsensus<T> {
     spec: Liveness,
-    decision: AtomicCell<T>,
+    decision: OnceBox<T>,
     guests: Option<ObstructionFreeConsensus<T>>,
     once: ProposeOnce,
     wait_free_proposals: AtomicU64,
@@ -58,7 +58,7 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
         let guest_spec = Liveness::obstruction_free(spec.guests()).ok();
         AsymmetricConsensus {
             spec,
-            decision: AtomicCell::new(),
+            decision: OnceBox::new(),
             guests: guest_spec.map(ObstructionFreeConsensus::new),
             once: ProposeOnce::new(),
             wait_free_proposals: AtomicU64::new(0),
@@ -107,16 +107,16 @@ impl<T: Clone + Eq + Send + Sync> AsymmetricConsensus<T> {
         self.once.claim(pid)?;
         // RELAXED: diagnostic counter; decision safety comes from the slot.
         self.guest_proposals.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.decision.load() {
-            return Ok(Some(d));
+        if let Some(d) = self.decision.get() {
+            return Ok(Some(d.clone()));
         }
         // A guest pid implies a non-empty guest set; stay total anyway.
         let Some(inner) = self.guests.as_ref() else {
             return Err(ConsensusError::NotAPort { pid });
         };
         match inner.propose_bounded(pid, value, max_rounds)? {
-            Some(w) => Ok(Some(self.decision.decide(w))),
-            None => Ok(self.decision.load()),
+            Some(w) => Ok(Some(self.decision.get_or_init(|| w).clone())),
+            None => Ok(self.decision.get().cloned()),
         }
     }
 }
@@ -136,32 +136,32 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for AsymmetricConsensus<T> {
             // RELAXED: diagnostic counter; the decision slot's CAS carries
             // all the ordering the protocol needs.
             self.wait_free_proposals.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.decision.decide(value));
+            return Ok(self.decision.get_or_init(|| value).clone());
         }
         // Guest path: obstruction-free rounds among the guests, polling the
         // decision slot between rounds (§2 remark: as soon as any value is
         // decided, any process can decide the very same value).
         // RELAXED: diagnostic counter; see the wait-free arm above.
         self.guest_proposals.fetch_add(1, Ordering::Relaxed);
-        if let Some(d) = self.decision.load() {
-            return Ok(d);
+        if let Some(d) = self.decision.get() {
+            return Ok(d.clone());
         }
         // A guest pid implies a non-empty guest set; stay total anyway.
         let Some(inner) = self.guests.as_ref() else {
             return Err(ConsensusError::NotAPort { pid });
         };
         // APC-LINT: allow(progress): guest-pid branch only — VIP pids returned above; guests are obstruction-free by specification (y,x)-liveness
-        let w = inner.propose_with_escape(pid, value, &|| self.decision.load())?;
-        Ok(self.decision.decide(w))
+        let w = inner.propose_with_escape(pid, value, &|| self.decision.get().cloned())?;
+        Ok(self.decision.get_or_init(|| w).clone())
     }
 
     #[progress(wait_free)]
-    fn peek(&self) -> Option<T> {
+    fn decided(&self) -> Option<&T> {
         // Only the outer decision slot counts. An inner guest-protocol
         // decision that has not yet been installed must NOT be reported: a
         // wait-free proposal could still win the slot with a different
         // value, and peek must never contradict a later propose return.
-        self.decision.load()
+        self.decision.get()
     }
 }
 
@@ -169,7 +169,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for AsymmetricConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsymmetricConsensus")
             .field("spec", &self.spec)
-            .field("decided", &self.decision.load())
+            .field("decided", &self.decision.get())
             .finish()
     }
 }

@@ -45,11 +45,20 @@ pub trait Consensus<T>: Send + Sync {
     /// * [`ConsensusError::AlreadyProposed`] on a second proposal by `pid`.
     fn propose(&self, pid: usize, value: T) -> Result<T, ConsensusError>;
 
-    /// The decided value, if any process has already decided.
+    /// The decided value, if any process has already decided, borrowed
+    /// from the object (a decision is never overwritten).
     ///
     /// The paper (§2, remark): "as soon as a value has been decided by a
     /// process, any process can decide the very same value."
-    fn peek(&self) -> Option<T>;
+    fn decided(&self) -> Option<&T>;
+
+    /// The decided value, cloned; see [`Consensus::decided`].
+    fn peek(&self) -> Option<T>
+    where
+        T: Clone,
+    {
+        self.decided().cloned()
+    }
 }
 
 /// Tracks the at-most-once `propose` discipline for up to 64 ports.

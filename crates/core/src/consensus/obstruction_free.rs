@@ -25,35 +25,34 @@
 //! commits.
 //!
 //! The unbounded round sequence is materialized as a lock-free linked list
-//! of fixed-size segments, each slot initialized on first use with a
-//! CAS-from-`⊥` — allocation happens off the register-protocol itself.
+//! of fixed-size segments (the first one inline in the object), each slot
+//! initialized on first use with a CAS-from-`⊥` — allocation happens off
+//! the register-protocol itself.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::OnceBox;
 
 use crate::consensus::adopt_commit::AdoptCommit;
 use crate::consensus::{Consensus, ProposeOnce};
 use crate::error::ConsensusError;
 use crate::liveness::Liveness;
 
-/// Rounds per lazily-allocated segment.
+/// Rounds per segment.
 const SEGMENT_ROUNDS: usize = 8;
 
+/// `SEGMENT_ROUNDS` round slots, each set once on first use. The first
+/// segment is inline in the object; later ones are allocated on demand.
 struct Segment<T> {
-    rounds: Vec<AtomicCell<Arc<AdoptCommit<T>>>>,
-    next: AtomicCell<Arc<Segment<T>>>,
+    rounds: [OnceBox<AdoptCommit<T>>; SEGMENT_ROUNDS],
+    next: OnceBox<Segment<T>>,
 }
 
-impl<T: Clone + Eq + Send + Sync> Segment<T> {
+impl<T> Segment<T> {
     fn new() -> Self {
-        Segment {
-            rounds: (0..SEGMENT_ROUNDS).map(|_| AtomicCell::new()).collect(),
-            next: AtomicCell::new(),
-        }
+        Segment { rounds: std::array::from_fn(|_| OnceBox::new()), next: OnceBox::new() }
     }
 }
 
@@ -79,8 +78,8 @@ impl<T: Clone + Eq + Send + Sync> Segment<T> {
 pub struct ObstructionFreeConsensus<T> {
     spec: Liveness,
     n: usize,
-    head: Arc<Segment<T>>,
-    decision: AtomicCell<T>,
+    head: Segment<T>,
+    decision: OnceBox<T>,
     once: ProposeOnce,
     rounds_executed: AtomicU64,
 }
@@ -95,8 +94,8 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
         ObstructionFreeConsensus {
             spec,
             n,
-            head: Arc::new(Segment::new()),
-            decision: AtomicCell::new(),
+            head: Segment::new(),
+            decision: OnceBox::new(),
             once: ProposeOnce::new(),
             rounds_executed: AtomicU64::new(0),
         }
@@ -115,12 +114,12 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
         self.rounds_executed.load(Ordering::Relaxed)
     }
 
-    fn round_object(&self, r: usize) -> Arc<AdoptCommit<T>> {
-        let mut segment = Arc::clone(&self.head);
+    fn round_object(&self, r: usize) -> &AdoptCommit<T> {
+        let mut segment = &self.head;
         for _ in 0..r / SEGMENT_ROUNDS {
-            segment = segment.next.load_or_init(|| Arc::new(Segment::new()));
+            segment = segment.next.get_or_init(Segment::new);
         }
-        segment.rounds[r % SEGMENT_ROUNDS].load_or_init(|| Arc::new(AdoptCommit::new(self.n)))
+        segment.rounds[r % SEGMENT_ROUNDS].get_or_init(|| AdoptCommit::new(self.n))
     }
 
     /// Like [`Consensus::propose`], but gives up (returning `Ok(None)`)
@@ -185,8 +184,8 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
     ) -> Option<T> {
         let mut r = 0usize;
         loop {
-            if let Some(d) = self.decision.load() {
-                return Some(d);
+            if let Some(d) = self.decision.get() {
+                return Some(d.clone());
             }
             if let Some(e) = escape() {
                 return Some(e);
@@ -202,8 +201,7 @@ impl<T: Clone + Eq + Send + Sync> ObstructionFreeConsensus<T> {
             let (flag, w) =
                 ac.adopt_commit(pid, estimate).expect("each pid visits each round at most once");
             if flag.is_commit() {
-                let _ = self.decision.set_if_bot(w);
-                return Some(self.decision.load().expect("decision just set"));
+                return Some(self.decision.get_or_init(|| w).clone());
             }
             estimate = w;
             r += 1;
@@ -229,8 +227,8 @@ impl<T: Clone + Eq + Send + Sync> Consensus<T> for ObstructionFreeConsensus<T> {
     }
 
     #[progress(wait_free)]
-    fn peek(&self) -> Option<T> {
-        self.decision.load()
+    fn decided(&self) -> Option<&T> {
+        self.decision.get()
     }
 }
 
@@ -238,7 +236,7 @@ impl<T: Clone + Eq + fmt::Debug> fmt::Debug for ObstructionFreeConsensus<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObstructionFreeConsensus")
             .field("spec", &self.spec)
-            .field("decided", &self.decision.load())
+            .field("decided", &self.decision.get())
             .finish()
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * **R1 `progress`** — no strong-class fn transitively reaches a blocking
 //!   primitive (`Mutex::lock`, channel `recv`, `thread::sleep`/`park`,
-//!   `File::sync_*`, condvar waits) or a weak-annotated callee, except
-//!   through `try_*` probes or an explicit waiver.
+//!   `File::sync_*`, condvar waits) or a callee of a weaker class (for a
+//!   wait-free caller, `lock_free` is weaker), except through `try_*`
+//!   probes or an explicit waiver.
 //! * **R2 `safety`** — every `unsafe` site carries `// SAFETY:` (or a
 //!   `# Safety` doc section on `unsafe fn`).
 //! * **R3 `relaxed`** — every `Ordering::Relaxed` carries `// RELAXED:`.

@@ -56,6 +56,14 @@ impl Class {
         matches!(self, Class::WaitFree | Class::BoundedWaitFree | Class::LockFree)
     }
 
+    /// Whether a callee of class `self` keeps a caller's `caller` promise.
+    /// The two wait-free classes accept each other but not `lock_free`: a
+    /// lock-free callee may retry forever while other callers progress,
+    /// which is exactly what a wait-free caller promised never to do.
+    pub fn keeps(self, caller: Class) -> bool {
+        self >= caller.min(Class::BoundedWaitFree)
+    }
+
     /// Classes that promise *some* liveness — everything above `blocking`.
     /// R4 holds these to a no-panic standard: even the obstruction-free
     /// tier promised to keep retrying, and an abort is strictly worse

@@ -188,14 +188,16 @@ fn bfs_calls(
 }
 
 /// `progress` (R1): strong fns must not reach blocking primitives or
-/// weak-annotated callees.
+/// callees of a weaker class — `lock_free` included, under a wait-free
+/// caller (see [`Class::keeps`]).
 fn check_reachability(ws: &Workspace, findings: &mut Vec<Finding>) {
     for source in ws.all_fns() {
         let sf = ws.fn_info(source);
         if sf.is_test || !sf.class.is_some_and(Class::is_strong) {
             continue;
         }
-        let class = sf.class.expect("checked above").name();
+        let source_class = sf.class.expect("checked above");
+        let class = source_class.name();
         let src_name = sf.qualified();
         let mut reported = HashSet::new();
         bfs_calls(ws, source, "progress", |owner, call, chain| {
@@ -228,7 +230,7 @@ fn check_reachability(ws: &Workspace, findings: &mut Vec<Finding>) {
                     continue;
                 }
                 if let Some(tc) = tf.class {
-                    if !tc.is_strong() {
+                    if !tc.keeps(source_class) {
                         let site = (owner.file, call.line, tf.qualified());
                         if reported.insert(site) {
                             let mut path = chain.to_vec();
@@ -451,12 +453,32 @@ mod tests {
 
     #[test]
     fn strong_annotated_callee_is_trusted_boundary() {
-        // `g` is lock_free and internally waives its own lock; `f` calling
-        // `g` must not re-traverse into it.
+        // `g` is bounded_wait_free and internally waives its own lock; `f`
+        // calling `g` must not re-traverse into it.
         let f = analyze(&[
             "struct S; impl S {\n#[progress(wait_free)]\nfn f(&self) { self.g(); }\n\
-             #[progress(lock_free)]\nfn g(&self) {\n// APC-LINT: allow(progress): benign\nself.m.lock(); }\n}",
+             #[progress(bounded_wait_free)]\nfn g(&self) {\n// APC-LINT: allow(progress): benign\nself.m.lock(); }\n}",
         ]);
+        assert_eq!(f.iter().filter(|x| x.rule == "progress").count(), 0);
+    }
+
+    #[test]
+    fn lock_free_callee_breaks_a_wait_free_promise() {
+        // Lock-free may retry forever while others progress: fine under a
+        // lock_free caller, a finding under a wait-free one.
+        let src = |caller: &str| {
+            format!(
+                "struct S; impl S {{\n#[progress({caller})]\nfn f(&self) {{ self.g(); }}\n\
+                 #[progress(lock_free)]\nfn g(&self) {{ }}\n}}"
+            )
+        };
+        for caller in ["wait_free", "bounded_wait_free"] {
+            let f = analyze(&[&src(caller)]);
+            let hits: Vec<_> = f.iter().filter(|x| x.rule == "progress").collect();
+            assert_eq!(hits.len(), 1, "{caller} caller");
+            assert!(hits[0].message.contains("only lock_free"), "{}", hits[0].message);
+        }
+        let f = analyze(&[&src("lock_free")]);
         assert_eq!(f.iter().filter(|x| x.rule == "progress").count(), 0);
     }
 

@@ -120,6 +120,30 @@ fn blocking_vip_dispatch_fails_the_progress_rule() {
     assert_eq!(report.exit_code(true), 1, "--deny rejects a blocking VIP dispatch");
 }
 
+/// A wait-free caller may not lean on a lock-free callee: a VIP commit
+/// that crosses the checkpoint cadence and places the seal itself MUST
+/// fail the lint, so the real `Store::commit_vip` stays green only while
+/// sealing rides the guest tier.
+#[test]
+fn vip_commit_reaching_a_lock_free_seal_fails_the_progress_rule() {
+    let (root, files) = fixture("vip_commit_seals.rs");
+    let (_ws, report) = analyze_files(&root, &files).unwrap();
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["progress"], "exactly the seal finding:\n{}", report.render_text());
+    let f = &report.findings[0];
+    assert!(
+        f.message.contains("commit_vip") && f.message.contains("only lock_free"),
+        "names the VIP commit and the lock-free seal: {}",
+        f.message
+    );
+    assert!(
+        f.path.last().is_some_and(|hop| hop.contains("checkpoint")),
+        "chain ends at the seal: {:?}",
+        f.path,
+    );
+    assert_eq!(report.exit_code(true), 1, "--deny rejects a sealing VIP commit");
+}
+
 /// Pins the PR-10 batching contract mechanically: per-shard coalescing of
 /// guest envelopes must never sit on the VIP serve path. A VIP dispatch
 /// that reaches the batch accumulator's lock MUST fail the lint — so the

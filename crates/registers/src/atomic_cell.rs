@@ -74,31 +74,6 @@ impl<T> AtomicCell<T> {
         unsafe { defer_destroy(old, &guard) };
     }
 
-    /// Moves the value out of the cell (leaving `⊥`), bypassing epoch
-    /// deferral.
-    ///
-    /// Requires `&mut self`: exclusive access guarantees no concurrent
-    /// reader can hold a reference into the cell, so the value can be
-    /// reclaimed immediately. This is the building block for *iterative*
-    /// teardown of linked structures whose recursive `Drop` would otherwise
-    /// overflow the stack on long chains.
-    #[progress(wait_free)]
-    pub fn take_mut(&mut self) -> Option<T> {
-        // SAFETY: `&mut self` excludes all concurrent access; an unprotected
-        // guard is sound because nothing can race the swap or still read the
-        // displaced value.
-        // RELAXED: same exclusivity — no observers to synchronize with.
-        let old =
-            unsafe { self.inner.swap(Shared::null(), Ordering::Relaxed, epoch::unprotected()) };
-        if old.is_null() {
-            None
-        } else {
-            // SAFETY: `old` was just detached under exclusive access and is
-            // owned solely by us.
-            Some(*unsafe { old.into_owned() }.into_box())
-        }
-    }
-
     /// Sets the cell to `value` only if it is currently `⊥`.
     ///
     /// This is the wait-free decision-slot primitive: exactly one concurrent
@@ -145,34 +120,6 @@ impl<T: Clone> AtomicCell<T> {
         let previous = unsafe { old.as_ref() }.cloned();
         unsafe { defer_destroy(old, &guard) };
         previous
-    }
-
-    /// *Decides* the cell: installs `value` if the cell is `⊥` and returns
-    /// whatever value the cell holds afterwards (the winner's).
-    ///
-    /// This is the total, panic-free form of the decision-slot idiom used by
-    /// every consensus object in `apc-core`: one CAS, one read, and a
-    /// fallback to the caller's own value in the (caller-contract-violating)
-    /// case where the slot was concurrently cleared after losing the race.
-    #[progress(wait_free)]
-    pub fn decide(&self, value: T) -> T {
-        match self.set_if_bot(value.clone()) {
-            Ok(()) => value,
-            Err(returned) => self.load().unwrap_or(returned),
-        }
-    }
-
-    /// Reads the value, initializing the cell with `init()` first if it is
-    /// `⊥`. Returns the value that ended up being read.
-    ///
-    /// Under a race, exactly one initializer wins and all callers observe a
-    /// single consistent value.
-    #[progress(wait_free)]
-    pub fn load_or_init(&self, init: impl FnOnce() -> T) -> T {
-        if let Some(v) = self.load() {
-            return v;
-        }
-        self.decide(init())
     }
 
     /// Replaces the current value with `value` iff `keep_new` approves the
@@ -305,13 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn load_or_init_initializes_once() {
-        let cell: AtomicCell<u64> = AtomicCell::new();
-        assert_eq!(cell.load_or_init(|| 5), 5);
-        assert_eq!(cell.load_or_init(|| 6), 5);
-    }
-
-    #[test]
     fn concurrent_set_if_bot_has_one_winner() {
         let cell: Arc<AtomicCell<usize>> = Arc::new(AtomicCell::new());
         let wins = Arc::new(AtomicUsize::new(0));
@@ -347,14 +287,6 @@ mod tests {
         });
         let last = cell.load().unwrap();
         assert!(last % 10_000 < 1000, "last value was actually written: {last}");
-    }
-
-    #[test]
-    fn take_mut_moves_the_value_out() {
-        let mut cell = AtomicCell::with_value(vec![1, 2]);
-        assert_eq!(cell.take_mut(), Some(vec![1, 2]));
-        assert!(cell.is_bot());
-        assert_eq!(cell.take_mut(), None);
     }
 
     #[test]

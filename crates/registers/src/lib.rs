@@ -18,13 +18,17 @@
 //!   snapshot of Afek et al., with embedded scans.
 //! * [`collect::StoreCollect`] — a store/collect array (regular collect),
 //!   the substrate of adopt-commit.
+//! * [`OnceBox`] and [`OnceArc`] — set-once slots read without an epoch
+//!   guard: decision slots and the links of append-only lists.
 //!
-//! All `unsafe` is confined to [`AtomicCell`]'s pointer management; every
-//! other type builds on it or on std atomics.
+//! All `unsafe` is confined to the pointer management of [`AtomicCell`]
+//! and the set-once slots; every other type builds on them or on std
+//! atomics.
 
 #![warn(missing_docs)]
 
 mod atomic_cell;
+mod once;
 mod packed;
 mod stamped;
 
@@ -32,5 +36,6 @@ pub mod collect;
 pub mod snapshot;
 
 pub use atomic_cell::AtomicCell;
+pub use once::{OnceArc, OnceBox};
 pub use packed::PackedRegister;
 pub use stamped::{max_stamped, Stamped, StampedCell};

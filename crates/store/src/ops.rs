@@ -23,7 +23,8 @@
 //! never applied twice and never dropped.
 
 use std::collections::BTreeMap;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Bound, Deref, DerefMut};
+use std::sync::Arc;
 
 use apc_universal::seq::SequentialSpec;
 
@@ -128,12 +129,14 @@ impl StoreResp {
 /// The per-shard state: an ordered map, scannable by range, plus the
 /// topology **epoch** of the shard's last split.
 ///
-/// Dereferences to the underlying `BTreeMap<Key, u64>` — the epoch is
+/// Dereferences to the underlying `BTreeMap<Arc<str>, u64>` — the epoch is
 /// metadata the operational semantics never read, so map-level access stays
-/// as direct as it was when this type *was* the map.
+/// as direct as it was when this type *was* the map. Keys are shared: a
+/// state is cloned for every checkpoint seal and every port replica, and a
+/// clone then bumps reference counts instead of copying each key.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardState {
-    entries: BTreeMap<Key, u64>,
+    entries: BTreeMap<Arc<str>, u64>,
     /// The topology version of this shard's most recent split (or the
     /// version whose split created it). Batches planned earlier are stale.
     epoch: u64,
@@ -148,25 +151,42 @@ impl ShardState {
     /// A state preloaded with `entries` at the given split `epoch` — how a
     /// freshly split-off shard is born, and how recovery rebuilds one.
     pub fn with_entries(entries: BTreeMap<Key, u64>, epoch: u64) -> Self {
-        ShardState { entries, epoch }
+        ShardState { entries: entries.into_iter().map(|(k, v)| (k.into(), v)).collect(), epoch }
     }
 
     /// The topology version of this shard's most recent split.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
+
+    /// Sets `key` to `value`, returning the previous value. Allocates a
+    /// key only when `key` is new.
+    fn upsert(&mut self, key: &str, value: u64) -> Option<u64> {
+        match self.entries.get_mut(key) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => self.entries.insert(key.into(), value),
+        }
+    }
+
+    /// The entries with keys in `keys`, as owned pairs, in key order.
+    fn owned_entries<'a>(
+        &'a self,
+        keys: impl std::ops::RangeBounds<str> + 'a,
+    ) -> impl Iterator<Item = (Key, u64)> + 'a {
+        self.entries.range::<str, _>(keys).map(|(k, v)| (k.to_string(), *v))
+    }
 }
 
 impl Deref for ShardState {
-    type Target = BTreeMap<Key, u64>;
+    type Target = BTreeMap<Arc<str>, u64>;
 
-    fn deref(&self) -> &BTreeMap<Key, u64> {
+    fn deref(&self) -> &BTreeMap<Arc<str>, u64> {
         &self.entries
     }
 }
 
 impl DerefMut for ShardState {
-    fn deref_mut(&mut self) -> &mut BTreeMap<Key, u64> {
+    fn deref_mut(&mut self) -> &mut BTreeMap<Arc<str>, u64> {
         &mut self.entries
     }
 }
@@ -176,14 +196,14 @@ impl DerefMut for ShardState {
 /// oracle in tests, and the model commit path.
 pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
     match op {
-        StoreOp::Get(k) => StoreResp::Value(state.get(k).copied()),
-        StoreOp::Put(k, v) => StoreResp::Value(state.insert(k.clone(), *v)),
-        StoreOp::Remove(k) => StoreResp::Value(state.remove(k)),
+        StoreOp::Get(k) => StoreResp::Value(state.get(k.as_str()).copied()),
+        StoreOp::Put(k, v) => StoreResp::Value(state.upsert(k, *v)),
+        StoreOp::Remove(k) => StoreResp::Value(state.remove(k.as_str())),
         StoreOp::Cas { key, expect, new } => {
-            let actual = state.get(key).copied();
+            let actual = state.get(key.as_str()).copied();
             let ok = actual == *expect;
             if ok {
-                state.insert(key.clone(), *new);
+                state.upsert(key, *new);
             }
             StoreResp::Cas { ok, actual }
         }
@@ -191,9 +211,8 @@ pub fn apply_op(state: &mut ShardState, op: &StoreOp) -> StoreResp {
             if from >= to {
                 return StoreResp::Entries(Vec::new());
             }
-            StoreResp::Entries(
-                state.range(from.clone()..to.clone()).map(|(k, v)| (k.clone(), *v)).collect(),
-            )
+            let range = (Bound::Included(from.as_str()), Bound::Excluded(to.as_str()));
+            StoreResp::Entries(state.owned_entries(range).collect())
         }
     }
 }
@@ -210,13 +229,13 @@ pub struct Batch {
     /// The topology version the router used to place this batch's keys.
     pub planned_at: u64,
     /// The operations, in invocation order.
-    pub ops: std::sync::Arc<Vec<StoreOp>>,
+    pub ops: Arc<[StoreOp]>,
 }
 
 impl Batch {
     /// A batch of `ops` planned under topology version `planned_at`.
     pub fn new(planned_at: u64, ops: Vec<StoreOp>) -> Self {
-        Batch { planned_at, ops: std::sync::Arc::new(ops) }
+        Batch { planned_at, ops: ops.into() }
     }
 }
 
@@ -330,15 +349,13 @@ impl SequentialSpec for ShardSpec {
             ShardCmd::Split(split) => {
                 let own = self.seed;
                 let outgoing: Vec<(Key, u64)> = state
-                    .entries
-                    .iter()
+                    .owned_entries(..)
                     .filter(|(k, _)| {
                         rendezvous_score(split.child_seed, k) > rendezvous_score(own, k)
                     })
-                    .map(|(k, v)| (k.clone(), *v))
                     .collect();
                 for (k, _) in &outgoing {
-                    state.entries.remove(k);
+                    state.entries.remove(k.as_str());
                 }
                 state.epoch = split.version;
                 vec![StoreResp::Entries(outgoing)]
@@ -347,8 +364,7 @@ impl SequentialSpec for ShardSpec {
                 // Retirement drains everything: the whole state is the
                 // migration set, and the epoch bump makes every batch
                 // planned before the merge bounce deterministically.
-                let outgoing: Vec<(Key, u64)> =
-                    state.entries.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                let outgoing: Vec<(Key, u64)> = state.owned_entries(..).collect();
                 state.entries.clear();
                 state.epoch = merge.version;
                 vec![StoreResp::Entries(outgoing)]
@@ -359,9 +375,27 @@ impl SequentialSpec for ShardSpec {
                 // the parent's epoch stays put (see [`AdoptSpec`]).
                 let adopted = adopt.entries.len() as u64;
                 for (k, v) in adopt.entries.iter() {
-                    state.entries.insert(k.clone(), *v);
+                    state.upsert(k, *v);
                 }
                 vec![StoreResp::Value(Some(adopted))]
+            }
+        }
+    }
+
+    /// Replays a command without building responses: a batch applies only
+    /// its writes (reads leave the state as it is), in order.
+    fn replay(&self, state: &mut ShardState, cmd: &ShardCmd) {
+        match cmd {
+            ShardCmd::Batch(batch) if batch.planned_at < state.epoch => {}
+            ShardCmd::Batch(batch) => {
+                for op in batch.ops.iter() {
+                    if !matches!(op, StoreOp::Get(_) | StoreOp::Scan { .. }) {
+                        apply_op(state, op);
+                    }
+                }
+            }
+            cmd => {
+                let _ = self.apply(state, cmd);
             }
         }
     }
@@ -457,13 +491,13 @@ mod tests {
         let spec = ShardSpec { seed: 42, created_at: 0 };
         let mut s = spec.init();
         for i in 0..64 {
-            s.insert(format!("key/{i:02}"), i);
+            s.insert(format!("key/{i:02}").into(), i);
         }
         let child_seed = 0xfeed;
         let expect_out: Vec<Key> = s
             .keys()
             .filter(|k| rendezvous_score(child_seed, k) > rendezvous_score(42, k))
-            .cloned()
+            .map(|k| k.to_string())
             .collect();
         let resps = spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed, version: 1 }));
         let outgoing = match &resps[0] {
@@ -474,7 +508,7 @@ mod tests {
         assert!(!outgoing.is_empty(), "64 keys must yield some child winners");
         assert_eq!(outgoing.len() + s.len(), 64, "partition, not loss");
         for (k, _) in &outgoing {
-            assert!(!s.contains_key(k), "moved keys leave the parent");
+            assert!(!s.contains_key(k.as_str()), "moved keys leave the parent");
         }
     }
 
@@ -523,9 +557,9 @@ mod tests {
         let spec = ShardSpec { seed: 11, created_at: 0 };
         let mut s = spec.init();
         for i in 0..32 {
-            s.insert(format!("k{i:02}"), i);
+            s.insert(format!("k{i:02}").into(), i);
         }
-        let before: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let before: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let resps =
             spec.apply(&mut s, &ShardCmd::Split(SplitSpec { child_seed: 0xfeed, version: 1 }));
         let outgoing = match &resps[0] {
@@ -536,8 +570,35 @@ mod tests {
             &mut s,
             &ShardCmd::Adopt(AdoptSpec { version: 2, entries: std::sync::Arc::new(outgoing) }),
         );
-        let after: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let after: Vec<(Key, u64)> = s.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         assert_eq!(after, before, "drain + adopt is the identity on the key set");
+    }
+
+    #[test]
+    fn replay_leaves_the_state_exactly_as_apply_does() {
+        let spec = ShardSpec { seed: 5, created_at: 0 };
+        let cmds = [
+            ShardCmd::Batch(Batch::new(
+                0,
+                vec![
+                    StoreOp::Put("a".into(), 1),
+                    StoreOp::Get("a".into()),
+                    StoreOp::Cas { key: "a".into(), expect: Some(1), new: 2 },
+                    StoreOp::Scan { from: "a".into(), to: "z".into() },
+                    StoreOp::Put("b".into(), 3),
+                    StoreOp::Remove("b".into()),
+                ],
+            )),
+            ShardCmd::Split(SplitSpec { child_seed: 77, version: 2 }),
+            ShardCmd::Batch(Batch::new(1, vec![StoreOp::Put("stale".into(), 9)])),
+            ShardCmd::Batch(Batch::new(2, vec![StoreOp::Put("c".into(), 4)])),
+        ];
+        let (mut applied, mut replayed) = (spec.init(), spec.init());
+        for cmd in &cmds {
+            spec.apply(&mut applied, cmd);
+            spec.replay(&mut replayed, cmd);
+            assert_eq!(replayed, applied, "after {cmd:?}");
+        }
     }
 
     #[test]

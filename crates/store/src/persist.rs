@@ -353,7 +353,7 @@ impl StoreSnapshot {
                 vec![Default::default(); shard_count];
             for shard in &shards {
                 for (key, value) in shard.state.iter() {
-                    redistributed[topology.shard_of(key)].insert(key.clone(), *value);
+                    redistributed[topology.shard_of(key)].insert(key.to_string(), *value);
                 }
             }
             for (shard, entries) in shards.iter_mut().zip(redistributed) {

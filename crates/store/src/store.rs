@@ -94,8 +94,10 @@ struct Shard {
     /// Per-port digests; single-writer per component (the port's mutex
     /// serializes writers sharing a port).
     stats: SwmrSnapshot<ShardDigest>,
-    /// Commits since build, for the auto-checkpoint cadence.
+    /// Commits since build (both tiers), for the auto-checkpoint cadence.
     auto_commits: AtomicU64,
+    /// `auto_commits` as of the last cadence seal.
+    sealed_at: AtomicU64,
 }
 
 impl Shard {
@@ -112,13 +114,20 @@ impl Shard {
             port,
             ShardDigest {
                 commits: handle.replayed_cells(),
-                entries: handle.local_state().len() as u64,
+                entries: handle.local_state().map_or(0, |state| state.len() as u64),
             },
         );
     }
 
+    /// The freshest per-port commit digest (wait-free snapshot scan).
+    #[progress(wait_free)]
+    fn freshest_digest(&self) -> ShardDigest {
+        self.stats.scan().into_iter().max_by_key(|d| d.commits).unwrap_or_default()
+    }
+
     /// Builds one shard over `ports` port slots, optionally resuming from a
-    /// recovered `(state, log_index)` pair.
+    /// recovered `(state, log_index)` pair. The port handles start parked
+    /// on no cell and clone no state until their first commit.
     fn build(
         spec: crate::ops::ShardSpec,
         liveness: Liveness,
@@ -143,6 +152,7 @@ impl Shard {
             ports: port_slots,
             stats: SwmrSnapshot::new(ports, ShardDigest::default()),
             auto_commits: AtomicU64::new(0),
+            sealed_at: AtomicU64::new(0),
         }
     }
 }
@@ -224,11 +234,16 @@ impl StoreBuilder {
     /// Seals a checkpoint on a shard automatically every `k` commits to it
     /// (`0` disables the cadence, the default).
     ///
-    /// The seal rides the shard's guest tier (and is skipped — not queued —
-    /// when that port is busy, so the cadence is amortized, never
-    /// blocking); each seal caps the shard log's memory and keeps
-    /// fresh-handle replay O(delta) without any explicit
-    /// [`Store::checkpoint`] call.
+    /// Commits of both tiers count, but only a guest commit seals: the
+    /// first guest commit at or past the cadence takes the shard's last
+    /// (guest) port with a `try_lock` and seals through it, and when that
+    /// port is busy the next guest commit tries again. A VIP commit never
+    /// seals, because placing a checkpoint is lock-free, not wait-free.
+    /// (Corollary: on a shard that serves only VIPs, memory is bounded
+    /// only by explicit [`Store::checkpoint`] calls.) Each seal keeps
+    /// fresh-handle replay O(delta) and bounds the shard log's memory to
+    /// two cadence windows of cells, one anchor state, and one dead cell
+    /// allocation per parked port (see [`Store::checkpoint`]).
     pub fn checkpoint_every(mut self, k: u64) -> Self {
         self.checkpoint_every = (k > 0).then_some(k);
         self
@@ -614,13 +629,7 @@ impl Store {
     /// from the others is the one to [`split`](Store::split_shard).
     #[progress(wait_free)]
     pub fn snapshot_stats(&self) -> Vec<ShardDigest> {
-        self.current_view()
-            .shards
-            .iter()
-            .map(|shard| {
-                shard.stats.scan().into_iter().max_by_key(|d| d.commits).unwrap_or_default()
-            })
-            .collect()
+        self.current_view().shards.iter().map(|shard| shard.freshest_digest()).collect()
     }
 
     /// The **live** shard with the most committed log cells — the hot
@@ -699,7 +708,8 @@ impl Store {
                 value: SampleValue::Gauge(value),
             });
         }
-        for (s, d) in self.snapshot_stats().into_iter().enumerate() {
+        for (s, shard) in view.shards.iter().enumerate() {
+            let d = shard.freshest_digest();
             let labels = || {
                 vec![("shard", format!("{s}")), ("live", format!("{}", view.topology.is_live(s)))]
             };
@@ -714,6 +724,12 @@ impl Store {
                 help: "Live keys per shard (freshest port digest).",
                 labels: labels(),
                 value: SampleValue::Gauge(d.entries),
+            });
+            samples.push(Sample {
+                name: "store_log_live_cells",
+                help: "Log cells allocated and not yet freed per shard.",
+                labels: labels(),
+                value: SampleValue::Gauge(shard.log.live_cells()),
             });
         }
         MetricsSnapshot { samples }
@@ -788,19 +804,17 @@ impl Store {
             }
         };
         let node = topology.node(child);
+        let migrated = outgoing.len() as u64;
         let child_shard = Arc::new(Shard::build(
             crate::ops::ShardSpec { seed: node.seed, created_at: node.created_at },
             self.admission.spec(),
             self.admission.ports(),
             Some((ShardState::with_entries(outgoing.into_iter().collect(), node.created_at), 0)),
         ));
-        {
-            // Seed the newborn's dashboard so the migrated entries are
-            // visible before its first commit.
-            let slot = child_shard.ports.len() - 1;
-            let handle = child_shard.ports[slot].lock().expect("port slot poisoned");
-            child_shard.publish_digest(slot, &handle);
-        }
+        // Seed the newborn's dashboard so the migrated entries are visible
+        // before its first commit.
+        let slot = child_shard.ports.len() - 1;
+        child_shard.stats.update(slot, ShardDigest { commits: 0, entries: migrated });
         let mut shards = view.shards.clone();
         shards.push(child_shard);
         self.metrics.record_split(topology.version());
@@ -905,8 +919,12 @@ impl Store {
     /// Checkpoints ride the guest tier (the last port of each shard), so
     /// sealing never contends with a VIP's exclusive port; placement is
     /// lock-free — each failed attempt means a client batch committed
-    /// instead. The sealed prefix caps the shard log's memory: fresh port
-    /// handles bootstrap from it and the retired cells become reclaimable.
+    /// instead. The seal bounds the shard log's memory: idle port handles
+    /// hold their position weakly, so once no commit is in flight a shard
+    /// log retains at most two cadence windows of cells (from the previous
+    /// anchor to the tail), one anchor state, and one dead cell allocation
+    /// per parked port whose cell was freed. A port parked behind a freed
+    /// cell re-bootstraps from the latest anchor on its next commit.
     /// Serializes with [`Store::split_shard`] so the snapshot's topology
     /// always matches its sealed states.
     #[progress(blocking)]
@@ -922,7 +940,8 @@ impl Store {
                 let slot = shard.ports.len() - 1;
                 let mut handle = shard.ports[slot].lock().expect("port slot poisoned");
                 let log_index = handle.checkpoint();
-                crate::persist::ShardSnapshot { log_index, state: handle.local_state().clone() }
+                let state = handle.local_state().cloned().expect("a sealing port holds a replica");
+                crate::persist::ShardSnapshot { log_index, state }
             })
             .collect();
         crate::persist::StoreSnapshot { topology: view.topology.clone(), shards }
@@ -969,9 +988,10 @@ impl Store {
 
     /// A VIP-tier commit: one universal-log append through the client's
     /// exclusively-owned port plus a digest publication, in a bounded
-    /// number of the caller's own steps. The cadence clock still advances
-    /// ([`Store::note_commit`]), but the policy evaluation — and every
-    /// reconfiguration it could install — stays off this path.
+    /// number of the caller's own steps. The cadence clocks still advance
+    /// ([`Store::note_commit`], and the shard's checkpoint count), but the
+    /// policy evaluation and the checkpoint seal — a reconfiguration or a
+    /// lock-free placement — stay off this path.
     #[progress(bounded_wait_free)]
     fn commit_vip(
         &self,
@@ -984,15 +1004,19 @@ impl Store {
         let ops = batch.ops.len() as u64;
         let start = std::time::Instant::now();
         let resps = self.commit_on(shard, shard_id, port, batch, durability);
+        if self.checkpoint_every.is_some() {
+            // RELAXED: cadence counter — an exact count, no ordering.
+            shard.auto_commits.fetch_add(1, Ordering::Relaxed);
+        }
         self.note_commit();
         self.metrics.record_commit(ProgressClass::Vip, ops, elapsed_ns(start), count_moved(&resps));
         resps
     }
 
     /// A guest-tier commit: the same log append over a **shared** port
-    /// (queued behind the port mutex) followed by the elasticity tick —
-    /// the obstruction-free tier is also the tier that pays for
-    /// reconfiguration.
+    /// (queued behind the port mutex) followed by the checkpoint cadence
+    /// and the elasticity tick — the obstruction-free tier is also the
+    /// tier that pays for sealing and reconfiguration.
     #[progress(obstruction_free)]
     fn commit_guest(
         &self,
@@ -1011,15 +1035,40 @@ impl Store {
             elapsed_ns(start),
             count_moved(&resps),
         );
-        // The committing handle is released before the tick: a reconfig
-        // decided here locks other ports, and a commit must never hold two.
+        // The committing handle is released before the seal and the tick:
+        // both lock a port, and a commit must never hold two.
+        self.cadence_seal(shard);
         self.elastic_tick(port);
         resps
     }
 
+    /// Counts a guest commit toward the shard's checkpoint cadence and, at
+    /// or past it, seals through the shard's last (guest) port — skipped
+    /// if that port is busy, so the next guest commit retries. VIP commits
+    /// only count ([`Store::commit_vip`]).
+    #[progress(lock_free)]
+    fn cadence_seal(&self, shard: &Shard) {
+        let Some(k) = self.checkpoint_every else { return };
+        // RELAXED: cadence counters — exact counts, no ordering needed; the
+        // seal itself synchronizes through the port mutex.
+        let commits = shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1;
+        let due = || shard.sealed_at.load(Ordering::Relaxed) + k <= commits;
+        if !due() {
+            return;
+        }
+        let Ok(mut sealer) = shard.ports[shard.ports.len() - 1].try_lock() else { return };
+        // Re-check under the port: a racing guest may have just sealed.
+        if !due() {
+            return;
+        }
+        sealer.checkpoint();
+        // RELAXED: as above.
+        shard.sealed_at.fetch_max(commits, Ordering::Relaxed);
+        self.metrics.record_auto_checkpoint();
+    }
+
     /// The tier-independent commit body: one universal-log append, a digest
-    /// publication, a WAL effect frame (if a WAL is attached), and (if
-    /// configured) the auto-checkpoint cadence.
+    /// publication, and a WAL effect frame (if a WAL is attached).
     fn commit_on(
         &self,
         shard: &Shard,
@@ -1044,7 +1093,7 @@ impl Store {
             if !effects.is_empty() {
                 // APC-LINT: allow(progress): durability is its own progress class (the module's thesis): logging an effect frame is a bounded buffer append under the WAL mutex, whose critical sections are all bounded memcpys — never an fsync
                 wal.enqueue(&WalFrame {
-                    epoch: handle.local_state().epoch(),
+                    epoch: handle.local_state().map_or(0, ShardState::epoch),
                     shard: shard_id as u32,
                     cell: handle.replayed_cells(),
                     class: durability,
@@ -1053,27 +1102,6 @@ impl Store {
             }
         }
         shard.publish_digest(port, &handle);
-        if let Some(k) = self.checkpoint_every {
-            // RELAXED: cadence counter — the checkpoint trigger needs an
-            // exact count (atomicity) but no cross-thread ordering.
-            let commits = shard.auto_commits.fetch_add(1, Ordering::Relaxed) + 1;
-            if commits.is_multiple_of(k) {
-                let last = shard.ports.len() - 1;
-                if port == last {
-                    handle.checkpoint();
-                    self.metrics.record_auto_checkpoint();
-                } else {
-                    // Ride the guest tier without ever holding two port
-                    // locks: if the seal port is busy, skip — a commit is
-                    // happening there and the next cadence window retries.
-                    drop(handle);
-                    if let Ok(mut sealer) = shard.ports[last].try_lock() {
-                        sealer.checkpoint();
-                        self.metrics.record_auto_checkpoint();
-                    }
-                }
-            }
-        }
         resps
     }
 
@@ -1100,7 +1128,9 @@ impl Store {
     /// carry that work would break the wait-free bound its port promises.
     /// A VIP commit crossing the cadence boundary just skips the window —
     /// the next guest boundary picks the evaluation up. (Corollary: a
-    /// store serving *only* VIPs never auto-reconfigures.)
+    /// store serving *only* VIPs never auto-reconfigures — and, by the
+    /// same rule in [`Store::cadence_seal`], never auto-seals, so its log
+    /// memory is bounded only by explicit [`Store::checkpoint`] calls.)
     ///
     /// Only [`Store::commit_guest`] calls this; the `port` guard below is
     /// the runtime mirror of that static routing.
@@ -1398,9 +1428,8 @@ impl Client<'_> {
             // store's backpressure (don't re-send with the same deadline).
             if expired {
                 for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 }
                 return Response { results };
             }
@@ -1471,9 +1500,8 @@ impl Client<'_> {
             // Same precedence as the VIP arm: time-out before budget-out.
             if expired {
                 for &(slot, _) in &moved {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 }
                 return Response { results };
             }
@@ -1596,9 +1624,8 @@ impl Client<'_> {
                     started.elapsed() >= std::time::Duration::from_millis(u64::from(ms))
                 });
                 if expired {
-                    results[slot] = Err(StoreError::DeadlineExceeded {
-                        deadline_ms: deadline_ms.unwrap_or(0),
-                    });
+                    results[slot] =
+                        Err(StoreError::DeadlineExceeded { deadline_ms: deadline_ms.unwrap_or(0) });
                 } else if budgets.get(e).copied().unwrap_or(0) == 0 {
                     results[slot] = Err(StoreError::RetryBudgetExhausted {
                         budget: reqs.get(e).map_or(0, |r| r.retry_budget),
@@ -2400,7 +2427,7 @@ mod tests {
             .checkpoint_every(8)
             .build()
             .unwrap();
-        let mut c = store.client(store.admit_vip().unwrap());
+        let mut c = store.client(store.admit_guest());
         assert_eq!(store.anchor_indices(), vec![0]);
         for i in 0..24 {
             c.put(&format!("k{i}"), i);
@@ -2408,9 +2435,34 @@ mod tests {
         let anchor = store.anchor_indices()[0];
         assert!(anchor >= 8, "at least two cadence windows must have sealed, got {anchor}");
         // A fresh session replays O(delta) thanks to the cadence.
-        let mut fresh = store.client(store.admit_guest());
+        let mut fresh = store.client(store.admit_vip().unwrap());
         assert_eq!(fresh.get("k0"), Some(0));
         assert_eq!(c.scan("", "z").len(), 24, "sealing never loses commits");
+    }
+
+    #[test]
+    fn vip_commits_count_toward_the_cadence_but_only_guests_seal() {
+        let store = StoreBuilder::new()
+            .shards(1)
+            .vip_capacity(1)
+            .guest_ports(1)
+            .guest_group_width(1)
+            .checkpoint_every(4)
+            .build()
+            .unwrap();
+        let mut vip = store.client(store.admit_vip().unwrap());
+        let mut guest = store.client(store.admit_guest());
+        let seals = || store.scrape().value("store_auto_checkpoints_total", &[]);
+        for i in 0..6 {
+            vip.put(&format!("v{i}"), i);
+        }
+        assert_eq!(seals(), Some(0), "a VIP commit crossing the cadence never seals");
+        assert_eq!(store.anchor_indices(), vec![0]);
+        guest.put("g", 1);
+        assert_eq!(seals(), Some(1), "the next guest commit seals");
+        assert_eq!(store.anchor_indices(), vec![8], "sealed past all seven commits");
+        guest.put("h", 2);
+        assert_eq!(seals(), Some(1), "the cadence restarts at the seal");
     }
 
     #[test]

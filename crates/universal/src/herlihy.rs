@@ -2,32 +2,60 @@
 //! with **checkpoint cells**.
 //!
 //! Checkpoints ride the same consensus path as operations: any port may
-//! propose a [`CheckpointRecord`] — its fully-replayed state sealed at a log
-//! index — into the next free cell. Once a checkpoint is agreed, it is a
-//! no-op for replicas that are already past it (by determinism its sealed
-//! state equals their replayed prefix), but it becomes the **anchor** for
-//! everyone arriving later: fresh handles bootstrap from the latest agreed
-//! checkpoint and replay only the post-checkpoint suffix, so handle
-//! creation costs O(delta) instead of O(history), and the pre-checkpoint
-//! prefix of the log becomes reclaimable (memory is capped by checkpoint
-//! cadence, not by lifetime).
+//! propose a [`CheckpointRecord`] — a marker naming a log index — into the
+//! next free cell. Once a checkpoint is agreed, it is a no-op for every
+//! replica passing it; the port that placed it seals its own replayed state
+//! (by determinism, the state of the agreed prefix) and publishes it as the
+//! **anchor**. Ports arriving later bootstrap from the latest anchor and
+//! replay only the post-checkpoint suffix, so handle creation costs
+//! O(delta) instead of O(history).
+//!
+//! ## Memory bound
+//!
+//! A port keeps its replay position as a [`Weak`] reference between calls
+//! (it is *parked*), so only two things hold log cells: the latest anchor,
+//! which also holds the previous anchor's cell, and ports in the middle of
+//! a call. With checkpoints every `k` cells and no call in flight, a log
+//! therefore retains at most
+//!
+//! * two cadence windows of cells (the previous anchor's cell up to the
+//!   tail, ≈ `2k`),
+//! * one anchor state, and
+//! * one dead `CellNode` allocation per parked port whose cell was freed
+//!   (a [`Weak`] keeps the allocation, not the cell's contents).
+//!
+//! A port that re-attaches to a freed cell re-bootstraps from the latest
+//! anchor. The previous anchor's cell is the slack that lets a port parked
+//! less than one window behind resume by replay instead. The port that
+//! publishes a new anchor frees the window the replaced anchor kept as
+//! slack, so reclaiming cells costs the sealing port, not whichever thread
+//! the epoch scheme of [`AtomicCell`] later drops the replaced anchor on;
+//! only the replaced anchor's state waits for that.
 //!
 //! Progress: operation placement keeps its original guarantee (wait-free
 //! for the factory's wait-free set via the helping rule, obstruction-free
-//! otherwise). Checkpoint placement is **lock-free** for every port —
-//! checkpoints are not announced, so nobody helps them, but each failed
-//! placement attempt means some *operation* committed instead (system-wide
-//! progress). Checkpoint proposers still obey the helping rule, so they
-//! never undermine the wait-free bound of the privileged set.
+//! otherwise). Re-attaching is bounded too: [`Weak::upgrade`] is a CAS loop
+//! on the cell's strong count, and that count changes O(ports) times over
+//! the cell's life — at most once per port attaching to it and once per
+//! port parking on it (a call walks the cells between by reference), once
+//! per anchor holding it, once for its predecessor's link.
+//!
+//! Checkpoint placement is **lock-free** for every port — checkpoints are
+//! not announced, so nobody helps them, but each failed placement attempt
+//! means some *operation* committed instead (system-wide progress).
+//! Checkpoint proposers still obey the helping rule, so they never
+//! undermine the wait-free bound of the privileged set, and only they
+//! publish anchors: a port that merely passes a checkpoint cell neither
+//! clones state nor touches the anchor.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
 use apc_core::consensus::Consensus;
 use apc_core::error::ConsensusError;
 use apc_progress_macros::progress;
-use apc_registers::AtomicCell;
+use apc_registers::{AtomicCell, OnceArc};
 
 use crate::factory::ConsensusFactory;
 use crate::seq::SequentialSpec;
@@ -72,69 +100,49 @@ pub struct OpRecord<O> {
     op: O,
 }
 
-/// An agreed checkpoint: the object state sealed at a log index.
+/// An agreed checkpoint: a marker sealing the log prefix before its cell.
 ///
-/// The sealed `state` is exactly the result of replaying log cells
-/// `[0, index)`; the cell at `index` is the checkpoint cell itself and
-/// contributes no operation.
+/// The record carries no state. The sealed state is the result of replaying
+/// log cells `[0, index)`; the port that placed the record publishes it as
+/// the anchor from its own replica. The cell at `index` is the checkpoint
+/// cell itself and contributes no operation.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CheckpointRecord<T> {
+pub struct CheckpointRecord {
     pid: u8,
     /// Log index of the checkpoint cell (= number of sealed prefix cells).
     index: u64,
-    /// The state after replaying the sealed prefix. `Arc`-shared: the seal
-    /// is immutable once proposed, and consensus cells clone records on
-    /// every propose/peek — sharing keeps those clones O(1) instead of
-    /// O(state size).
-    state: Arc<T>,
-    /// Per-process highest applied sequence numbers in the sealed prefix.
-    applied: Vec<u64>,
 }
 
-impl<T> CheckpointRecord<T> {
+impl CheckpointRecord {
     /// The log index this checkpoint seals (number of prefix cells).
     pub fn index(&self) -> u64 {
         self.index
     }
-
-    /// The sealed state.
-    pub fn state(&self) -> &T {
-        &self.state
-    }
 }
 
-/// An agreed **reconfiguration**: an operation that also seals the post-op
-/// state — the topology-bump record of service layers.
+/// An agreed **reconfiguration**: an operation whose post-op state is
+/// sealed as an anchor — the topology-bump record of service layers.
 ///
 /// A reconfig cell behaves like an ordinary operation cell (its `op` is
-/// applied through the sequential spec at the cell's position in the log)
-/// *and* like a checkpoint cell (the state after the op is sealed and
-/// published as the bootstrap anchor). The combination is what makes live
-/// reconfiguration linearizable in one step: the proposer learns exactly
-/// which operations committed before the bump — the sealed state — and
-/// every replica deterministically applies the bump at the same log index.
+/// applied through the sequential spec at the cell's position in the log),
+/// and the port that placed it then publishes the state after the op as
+/// the bootstrap anchor, exactly as for a checkpoint. The combination is
+/// what makes live reconfiguration linearizable in one step: the proposer
+/// learns exactly which operations committed before the bump (the op's
+/// response), and every replica deterministically applies the bump at the
+/// same log index.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ReconfigRecord<O, T> {
+pub struct ReconfigRecord<O> {
     pid: u8,
     seq: u64,
     /// The reconfiguration operation, applied through the ordinary spec.
     op: O,
-    /// The state *after* applying `op` to the agreed prefix. Proposed
-    /// speculatively from the proposer's replayed state; correct whenever
-    /// the record is the one agreed (the proposer's cursor state *is* the
-    /// agreed prefix state, and `apply` is deterministic).
-    state: Arc<T>,
 }
 
-impl<O, T> ReconfigRecord<O, T> {
+impl<O> ReconfigRecord<O> {
     /// The reconfiguration operation.
     pub fn op(&self) -> &O {
         &self.op
-    }
-
-    /// The sealed post-reconfiguration state.
-    pub fn state(&self) -> &T {
-        &self.state
     }
 }
 
@@ -144,18 +152,17 @@ impl<O, T> ReconfigRecord<O, T> {
 /// This is the value type of the [`ConsensusFactory`] bound of
 /// [`Universal`] (see [`LogRecordOf`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum LogRecord<O, T> {
+pub enum LogRecord<O> {
     /// A client operation (the common case).
     Op(OpRecord<O>),
     /// A checkpoint sealing the log prefix before its cell.
-    Checkpoint(CheckpointRecord<T>),
-    /// An operation that also seals the state after itself (see
-    /// [`ReconfigRecord`]).
-    Reconfig(ReconfigRecord<O, T>),
+    Checkpoint(CheckpointRecord),
+    /// An operation whose post-state is sealed (see [`ReconfigRecord`]).
+    Reconfig(ReconfigRecord<O>),
 }
 
 /// The record type agreed on by each log cell for spec `S`.
-pub type LogRecordOf<S> = LogRecord<<S as SequentialSpec>::Op, <S as SequentialSpec>::State>;
+pub type LogRecordOf<S> = LogRecord<<S as SequentialSpec>::Op>;
 
 /// A per-process announcement: "my operation `seq` is `op`, please help".
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -167,13 +174,9 @@ struct Announce<O> {
 /// One cell of the operation log.
 struct CellNode<C> {
     cons: C,
-    next: AtomicCell<Arc<CellNode<C>>>,
-}
-
-impl<C> CellNode<C> {
-    fn new(cons: C) -> Self {
-        CellNode { cons, next: AtomicCell::new() }
-    }
+    next: OnceArc<CellNode<C>>,
+    /// The log's live-cell token (see [`Universal::live_cells`]).
+    _live: Arc<()>,
 }
 
 impl<C> Drop for CellNode<C> {
@@ -193,7 +196,7 @@ impl<C> Drop for CellNode<C> {
     }
 }
 
-/// The latest known agreed checkpoint: where fresh handles bootstrap.
+/// The latest known agreed checkpoint: where ports bootstrap.
 struct Anchor<S, C>
 where
     S: SequentialSpec,
@@ -203,6 +206,11 @@ where
     state: Arc<S::State>,
     applied: Vec<u64>,
     cell: Arc<CellNode<C>>,
+    /// The previous anchor's cell: one cadence window of slack, so a port
+    /// parked less than a window behind resumes by replay rather than by
+    /// re-bootstrapping. The port that publishes the next anchor takes it
+    /// (see [`Universal::publish_anchor`]).
+    prev: Mutex<Option<Arc<CellNode<C>>>>,
 }
 
 /// A linearizable shared object built from a sequential specification and a
@@ -222,6 +230,8 @@ where
     /// Latest agreed checkpoint (initially the empty prefix at the head).
     /// Monotone in `index`; never `⊥`.
     anchor: AtomicCell<Arc<Anchor<S, F::Object>>>,
+    /// Every live cell holds a clone; the strong count is the gauge.
+    live: Arc<()>,
     handles: AtomicU64,
 }
 
@@ -257,14 +267,26 @@ where
 
     fn with_anchor(spec: S, factory: F, n: usize, state: S::State, index: u64) -> Self {
         assert!((1..=64).contains(&n), "n must be in 1..=64");
-        let head = Arc::new(CellNode::new(factory.create()));
-        let anchor = Anchor { index, state: Arc::new(state), applied: vec![0; n], cell: head };
+        let live = Arc::new(());
+        let head = Arc::new(CellNode {
+            cons: factory.create(),
+            next: OnceArc::new(),
+            _live: Arc::clone(&live),
+        });
+        let anchor = Anchor {
+            index,
+            state: Arc::new(state),
+            applied: vec![0; n],
+            cell: head,
+            prev: None.into(),
+        };
         Universal {
             spec,
             factory,
             n,
             announce: (0..n).map(|_| AtomicCell::new()).collect(),
             anchor: AtomicCell::with_value(Arc::new(anchor)),
+            live,
             handles: AtomicU64::new(0),
         }
     }
@@ -281,12 +303,19 @@ where
         self.latest_anchor().index
     }
 
+    /// Log cells currently allocated and not yet freed — the memory gauge
+    /// of the bound in the [crate docs](crate).
+    #[progress(wait_free)]
+    pub fn live_cells(&self) -> u64 {
+        Arc::strong_count(&self.live) as u64 - 1
+    }
+
     fn latest_anchor(&self) -> Arc<Anchor<S, F::Object>> {
         self.anchor.load().expect("the anchor is initialized and never cleared")
     }
 
-    /// Claims the port bit for `pid` and builds its initial replay state
-    /// from the latest checkpoint anchor.
+    /// Claims the port bit for `pid`. The replay starts parked on no cell,
+    /// so it clones no state until its first call bootstraps it.
     #[progress(wait_free)]
     fn take_port(&self, pid: usize) -> Result<Replay<S, F::Object>, UniversalError> {
         if pid >= self.n || !self.factory.spec().is_port(pid) {
@@ -296,16 +325,7 @@ where
         if self.handles.fetch_or(bit, Ordering::AcqRel) & bit != 0 {
             return Err(UniversalError::HandleTaken { pid });
         }
-        let anchor = self.latest_anchor();
-        Ok(Replay {
-            pid,
-            seq: 0,
-            cursor: Arc::clone(&anchor.cell),
-            cell_index: anchor.index,
-            state: S::State::clone(&anchor.state),
-            applied: anchor.applied.clone(),
-            steps: 0,
-        })
+        Ok(Replay { pid, seq: 0, cell_index: self.anchor_index(), steps: 0, parked: None })
     }
 
     /// Takes the (unique) operation handle for process `pid`.
@@ -349,8 +369,7 @@ where
     }
 }
 
-/// The per-port replay state shared by [`Handle`] and [`OwnedHandle`]: the
-/// cursor into the operation log and the local state replica.
+/// The per-port replay state shared by [`Handle`] and [`OwnedHandle`].
 struct Replay<S, C>
 where
     S: SequentialSpec,
@@ -358,17 +377,59 @@ where
     pid: usize,
     /// Sequence number of my most recent operation.
     seq: u64,
-    /// The next undecided-or-unapplied cell.
-    cursor: Arc<CellNode<C>>,
-    /// Absolute log index of `cursor`.
+    /// Absolute log index of the replica's cursor.
     cell_index: u64,
+    /// Log cells this handle consumed itself (excludes the checkpointed
+    /// prefix it bootstrapped from) — the replay-work meter.
+    steps: u64,
+    /// The replica between calls; `None` until the first call.
+    parked: Option<Parked<S, C>>,
+}
+
+/// A replica between calls. Its cell is held weakly, so a parked port pins
+/// no part of the log.
+struct Parked<S, C>
+where
+    S: SequentialSpec,
+{
+    cell: Weak<CellNode<C>>,
+    state: S::State,
+    applied: Vec<u64>,
+}
+
+/// A replica attached to the log for the duration of one call.
+struct Replica<S>
+where
+    S: SequentialSpec,
+{
+    /// Absolute log index of the cell the walk stands on.
+    index: u64,
     /// Local replayed state.
     state: S::State,
     /// `applied[p]` = highest sequence number of `p` applied so far.
     applied: Vec<u64>,
-    /// Log cells this handle consumed itself (excludes the checkpointed
-    /// prefix it bootstrapped from) — the replay-work meter.
+    /// Cells consumed during this call.
     steps: u64,
+}
+
+/// A walk along the log during one call. The `Arc` returned by
+/// [`Universal::attach`] pins every cell from the attach point on, so the
+/// walk borrows cells instead of counting references to each.
+struct Walk<'p, C> {
+    /// The next undecided-or-unapplied cell.
+    cell: &'p CellNode<C>,
+    /// The cell before it, if the walk moved.
+    prev: Option<&'p CellNode<C>>,
+}
+
+impl<'p, C> Walk<'p, C> {
+    /// An owning reference to the walk's current cell.
+    fn cell_arc(&self, pin: &Arc<CellNode<C>>) -> Arc<CellNode<C>> {
+        match self.prev {
+            None => Arc::clone(pin),
+            Some(prev) => prev.next.load().expect("a walked link is set"),
+        }
+    }
 }
 
 impl<S, F> Universal<S, F>
@@ -376,37 +437,80 @@ where
     S: SequentialSpec,
     F: ConsensusFactory<LogRecordOf<S>>,
 {
+    /// Re-attaches a replica to its parked cell, or bootstraps it from the
+    /// latest anchor when it never ran or its cell has been freed. Every
+    /// entry point calls this before it announces or proposes. The
+    /// returned `Arc` pins the log from the attach point on.
+    fn attach(&self, replay: &mut Replay<S, F::Object>) -> (Arc<CellNode<F::Object>>, Replica<S>) {
+        if let Some(parked) = replay.parked.take() {
+            if let Some(cell) = parked.cell.upgrade() {
+                let replica = Replica {
+                    index: replay.cell_index,
+                    state: parked.state,
+                    applied: parked.applied,
+                    steps: 0,
+                };
+                return (cell, replica);
+            }
+        }
+        // The freed cell lay before the latest anchor's previous cell, and
+        // every op of this port was placed before it, so the anchor's
+        // `applied` already counts them all.
+        let anchor = self.latest_anchor();
+        let replica = Replica {
+            index: anchor.index,
+            state: S::State::clone(&anchor.state),
+            applied: anchor.applied.clone(),
+            steps: 0,
+        };
+        (Arc::clone(&anchor.cell), replica)
+    }
+
+    /// Parks a replica at the end of a call, holding its cell weakly.
+    fn detach(replay: &mut Replay<S, F::Object>, cell: &Arc<CellNode<F::Object>>, rep: Replica<S>) {
+        replay.cell_index = rep.index;
+        replay.steps += rep.steps;
+        replay.parked =
+            Some(Parked { cell: Arc::downgrade(cell), state: rep.state, applied: rep.applied });
+    }
+
     /// Applies `op` through the given replay state (the shared body of
     /// [`Handle::apply`] and [`OwnedHandle::apply`]).
     #[progress(bounded_wait_free)]
     fn apply_through(&self, replay: &mut Replay<S, F::Object>, op: S::Op) -> S::Resp {
+        // Attach before announcing: once announced, a helper may place the
+        // op in any undecided cell, and all of those lie past a live cursor.
+        let (pin, mut rep) = self.attach(replay);
         replay.seq += 1;
-        let my_seq = replay.seq;
-        self.announce[replay.pid].store(Announce { seq: my_seq, op: op.clone() });
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                LogRecord::Op(OpRecord { pid: replay.pid as u8, seq: my_seq, op: op.clone() })
+        let (pid, my_seq) = (replay.pid, replay.seq);
+        self.announce[pid].store(Announce { seq: my_seq, op: op.clone() });
+        let mut walk = Walk { cell: &pin, prev: None };
+        let resp = loop {
+            let decided = self.decide(pid, walk.cell, &rep, || {
+                LogRecord::Op(OpRecord { pid: pid as u8, seq: my_seq, op: op.clone() })
             });
-            match decided {
-                LogRecord::Op(rec) => {
-                    let mine = rec.pid as usize == replay.pid && rec.seq == my_seq;
-                    let resp = self.absorb_op(replay, &rec);
-                    if mine {
-                        return resp;
-                    }
+            let mine = match decided {
+                LogRecord::Op(rec) if rec.pid as usize == pid && rec.seq == my_seq => {
+                    Some(self.absorb_own(&mut rep, rec.pid, rec.seq, &rec.op))
                 }
-                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
-                LogRecord::Reconfig(rec) => {
-                    let _ = self.absorb_reconfig(replay, &rec);
+                other => {
+                    self.absorb(&mut rep, other);
+                    None
                 }
+            };
+            self.step(&mut walk, &mut rep);
+            if let Some(resp) = mine {
+                break resp;
             }
-        }
+        };
+        Self::detach(replay, &walk.cell_arc(&pin), rep);
+        resp
     }
 
     /// Places a reconfiguration through the replay state (the shared body of
-    /// [`Handle::reconfigure`] and [`OwnedHandle::reconfigure`]); returns
-    /// the log index of the agreed reconfig cell and the op's response at
-    /// that linearization point.
+    /// [`Handle::reconfigure`] and [`OwnedHandle::reconfigure`]) and seals
+    /// the post-op state as the anchor; returns the log index of the agreed
+    /// reconfig cell and the op's response at that linearization point.
     ///
     /// Like checkpoints, reconfig proposals are not announced (nobody helps
     /// them), so placement is lock-free: each failed attempt means some
@@ -415,186 +519,168 @@ where
     /// privileged set.
     #[progress(lock_free)]
     fn reconfigure_through(&self, replay: &mut Replay<S, F::Object>, op: S::Op) -> (u64, S::Resp) {
+        let (pin, mut rep) = self.attach(replay);
         replay.seq += 1;
-        let my_seq = replay.seq;
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                // Speculate the sealed post-state from the fully-replayed
-                // prefix; exact whenever this record is the one agreed.
-                let mut post = replay.state.clone();
-                let _ = self.spec.apply(&mut post, &op);
-                LogRecord::Reconfig(ReconfigRecord {
-                    pid: replay.pid as u8,
-                    seq: my_seq,
-                    op: op.clone(),
-                    state: Arc::new(post),
-                })
+        let (pid, my_seq) = (replay.pid, replay.seq);
+        let mut walk = Walk { cell: &pin, prev: None };
+        let placed = loop {
+            let decided = self.decide(pid, walk.cell, &rep, || {
+                LogRecord::Reconfig(ReconfigRecord { pid: pid as u8, seq: my_seq, op: op.clone() })
             });
-            match decided {
-                LogRecord::Op(rec) => {
-                    let _ = self.absorb_op(replay, &rec);
+            let mine = match decided {
+                LogRecord::Reconfig(rec) if rec.pid as usize == pid && rec.seq == my_seq => {
+                    Some((rep.index, self.absorb_own(&mut rep, rec.pid, rec.seq, &rec.op)))
                 }
-                LogRecord::Checkpoint(ck) => self.absorb_checkpoint(replay, &ck),
-                LogRecord::Reconfig(rec) => {
-                    let mine = rec.pid as usize == replay.pid && rec.seq == my_seq;
-                    let index = replay.cell_index;
-                    let resp = self.absorb_reconfig(replay, &rec);
-                    if mine {
-                        return (index, resp);
-                    }
+                other => {
+                    self.absorb(&mut rep, other);
+                    None
                 }
+            };
+            self.step(&mut walk, &mut rep);
+            if let Some(placed) = mine {
+                break placed;
             }
-        }
+        };
+        let cell = walk.cell_arc(&pin);
+        self.publish_anchor(&rep, &cell);
+        Self::detach(replay, &cell, rep);
+        placed
     }
 
     /// Proposes a checkpoint through the replay state (the shared body of
-    /// [`Handle::checkpoint`] and [`OwnedHandle::checkpoint`]); returns the
-    /// log index of the agreed checkpoint cell.
+    /// [`Handle::checkpoint`] and [`OwnedHandle::checkpoint`]), seals the
+    /// replica as the anchor, and returns the log index of the agreed
+    /// checkpoint cell.
     #[progress(lock_free)]
     fn checkpoint_through(&self, replay: &mut Replay<S, F::Object>) -> u64 {
-        loop {
-            let decided = self.decide_current_cell(replay, || {
-                LogRecord::Checkpoint(CheckpointRecord {
-                    pid: replay.pid as u8,
-                    index: replay.cell_index,
-                    state: Arc::new(replay.state.clone()),
-                    applied: replay.applied.clone(),
-                })
+        let (pin, mut rep) = self.attach(replay);
+        let pid = replay.pid;
+        let mut walk = Walk { cell: &pin, prev: None };
+        let index = loop {
+            let decided = self.decide(pid, walk.cell, &rep, || {
+                LogRecord::Checkpoint(CheckpointRecord { pid: pid as u8, index: rep.index })
             });
-            match decided {
-                LogRecord::Op(rec) => {
-                    // Another operation claimed the cell; absorb it and
-                    // re-seal at the next index (lock-free: their progress).
-                    let _ = self.absorb_op(replay, &rec);
-                }
-                LogRecord::Checkpoint(ck) => {
-                    // Any checkpoint agreed at my cursor cell seals exactly
-                    // my replayed prefix (determinism), so it serves whether
-                    // or not I proposed it.
-                    let index = ck.index;
-                    self.absorb_checkpoint(replay, &ck);
-                    return index;
-                }
-                LogRecord::Reconfig(rec) => {
-                    // A reconfiguration claimed the cell: absorb it (it
-                    // seals its own anchor) and re-seal at the next index so
-                    // the checkpoint contract — sealed state excludes the
-                    // checkpoint cell — stays exact.
-                    let _ = self.absorb_reconfig(replay, &rec);
-                }
+            // Any checkpoint agreed at my cell seals exactly my replayed
+            // prefix, so it serves whether or not I proposed it. Anything
+            // else claimed the cell: absorb it and re-seal at the next
+            // index (lock-free: their progress), so the contract — the
+            // sealed state excludes the checkpoint cell — stays exact.
+            let sealed = matches!(decided, LogRecord::Checkpoint(_)).then_some(rep.index);
+            self.absorb(&mut rep, decided);
+            self.step(&mut walk, &mut rep);
+            if let Some(index) = sealed {
+                break index;
             }
-        }
+        };
+        let cell = walk.cell_arc(&pin);
+        self.publish_anchor(&rep, &cell);
+        Self::detach(replay, &cell, rep);
+        index
     }
 
-    /// Produces (or learns) the decision of the cursor cell. `fallback` is
-    /// the record to propose when the helping rule yields no candidate.
-    fn decide_current_cell(
+    /// Produces (or learns) the decision of `cell`. `fallback` is the
+    /// record to propose when the helping rule yields no candidate.
+    fn decide<'c>(
         &self,
-        replay: &Replay<S, F::Object>,
+        pid: usize,
+        cell: &'c CellNode<F::Object>,
+        rep: &Replica<S>,
         fallback: impl FnOnce() -> LogRecordOf<S>,
-    ) -> LogRecordOf<S> {
-        if let Some(d) = replay.cursor.cons.peek() {
+    ) -> &'c LogRecordOf<S> {
+        if let Some(d) = cell.cons.decided() {
             return d;
         }
         // Helping rule: cell k prefers the announcement of process k mod n,
         // if it is pending (announced and not yet applied in my replay —
         // which is exact for all cells before this one).
-        let slot = (replay.cell_index as usize) % self.n;
+        let slot = (rep.index as usize) % self.n;
         let candidate = self.announce[slot]
             .load()
-            .filter(|a| a.seq > replay.applied[slot])
+            .filter(|a| a.seq > rep.applied[slot])
             .map(|a| LogRecord::Op(OpRecord { pid: slot as u8, seq: a.seq, op: a.op }));
         let proposal = candidate.unwrap_or_else(fallback);
         // APC-LINT: allow(progress): dynamic dispatch through the factory's consensus object; its class is the factory's liveness spec (wait-free for the VIP set), checked at the object, not here
-        match replay.cursor.cons.propose(replay.pid, proposal) {
-            Ok(decided) => decided,
-            Err(ConsensusError::AlreadyProposed { .. }) => replay
-                .cursor
-                .cons
-                .peek()
-                .expect("a proposed-to cell that rejects re-proposals has decided"),
+        match cell.cons.propose(pid, proposal) {
+            Ok(_) | Err(ConsensusError::AlreadyProposed { .. }) => {
+                cell.cons.decided().expect("a proposed-to cell has decided")
+            }
             Err(ConsensusError::NotAPort { pid }) => {
                 unreachable!("handle creation verified port membership for {pid}")
             }
         }
     }
 
-    /// Applies a decided operation record to the local replica and moves on.
-    fn absorb_op(&self, replay: &mut Replay<S, F::Object>, rec: &OpRecord<S::Op>) -> S::Resp {
-        let resp = self.spec.apply(&mut replay.state, &rec.op);
-        replay.applied[rec.pid as usize] = rec.seq;
-        self.advance(replay);
-        resp
+    /// Applies the caller's own decided operation to the replica.
+    fn absorb_own(&self, rep: &mut Replica<S>, pid: u8, seq: u64, op: &S::Op) -> S::Resp {
+        rep.applied[pid as usize] = seq;
+        self.spec.apply(&mut rep.state, op)
     }
 
-    /// Passes a decided checkpoint cell: the sealed state equals the local
-    /// replica already (determinism), so the cell contributes no operation;
-    /// publish it as the bootstrap anchor for future handles.
-    fn absorb_checkpoint(
-        &self,
-        replay: &mut Replay<S, F::Object>,
-        ck: &CheckpointRecord<S::State>,
-    ) {
-        debug_assert_eq!(ck.index, replay.cell_index, "checkpoint index matches its cell");
-        self.advance(replay);
-        let anchor_index = replay.cell_index;
-        if self.latest_anchor().index >= anchor_index {
-            return; // someone already published this checkpoint (or a later one)
+    /// Passes someone else's decided record: replays an operation or a
+    /// reconfiguration (no response wanted); a checkpoint contributes none.
+    fn absorb(&self, rep: &mut Replica<S>, record: &LogRecordOf<S>) {
+        match record {
+            LogRecord::Op(OpRecord { pid, seq, op })
+            | LogRecord::Reconfig(ReconfigRecord { pid, seq, op }) => {
+                rep.applied[*pid as usize] = *seq;
+                self.spec.replay(&mut rep.state, op);
+            }
+            LogRecord::Checkpoint(ck) => {
+                debug_assert_eq!(ck.index, rep.index, "checkpoint index matches its cell");
+            }
+        }
+    }
+
+    /// Seals the replica (just past a checkpoint or reconfig cell) and
+    /// publishes it as the anchor, unless an equal or later one is already
+    /// out. The new anchor keeps the current one's cell as its slack.
+    fn publish_anchor(&self, rep: &Replica<S>, cell: &Arc<CellNode<F::Object>>) {
+        let index = rep.index;
+        let current = self.latest_anchor();
+        if current.index >= index {
+            return;
         }
         let anchor = Arc::new(Anchor {
-            index: anchor_index,
-            // Share the sealed state straight out of the record: the seal
-            // equals the local replica here (determinism), no clone needed.
-            state: Arc::clone(&ck.state),
-            applied: replay.applied.clone(),
-            cell: Arc::clone(&replay.cursor),
+            index,
+            state: Arc::new(rep.state.clone()),
+            applied: rep.applied.clone(),
+            cell: Arc::clone(cell),
+            prev: Some(Arc::clone(&current.cell)).into(),
         });
-        // Monotone publish: racing replicas can only move the anchor forward.
-        self.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
+        // Monotone publish: racing sealers can only move the anchor forward.
+        self.anchor.update_if(anchor, |a| a.is_none_or(|a| a.index < index));
+        // `current` is no longer the latest anchor either way, so its slack
+        // window is garbage. Free it here, on the sealing port, rather than
+        // wherever the epoch scheme later drops the retired anchor — which
+        // may be a wait-free port's thread.
+        let slack = current.prev.try_lock().ok().and_then(|mut prev| prev.take());
+        drop(slack);
     }
 
-    /// Applies a decided reconfiguration to the local replica, publishes its
-    /// sealed post-state as the bootstrap anchor, and moves on.
-    fn absorb_reconfig(
-        &self,
-        replay: &mut Replay<S, F::Object>,
-        rec: &ReconfigRecord<S::Op, S::State>,
-    ) -> S::Resp {
-        let resp = self.spec.apply(&mut replay.state, &rec.op);
-        debug_assert!(*rec.state == replay.state, "sealed reconfig state matches the replica");
-        replay.applied[rec.pid as usize] = rec.seq;
-        self.advance(replay);
-        let anchor_index = replay.cell_index;
-        if self.latest_anchor().index < anchor_index {
-            let anchor = Arc::new(Anchor {
-                index: anchor_index,
-                // The seal equals the local replica here (determinism);
-                // share it straight out of the record.
-                state: Arc::clone(&rec.state),
-                applied: replay.applied.clone(),
-                cell: Arc::clone(&replay.cursor),
-            });
-            self.anchor.update_if(anchor, |cur| cur.is_none_or(|a| a.index < anchor_index));
+    /// Moves the walk to the next cell, creating it if necessary.
+    fn step<'p>(&self, walk: &mut Walk<'p, F::Object>, rep: &mut Replica<S>) {
+        let next = walk.cell.next.get_or_init(|| Arc::new(self.new_cell()));
+        walk.prev = Some(walk.cell);
+        walk.cell = next;
+        rep.index += 1;
+        rep.steps += 1;
+    }
+
+    fn new_cell(&self) -> CellNode<F::Object> {
+        CellNode {
+            cons: self.factory.create(),
+            next: OnceArc::new(),
+            _live: Arc::clone(&self.live),
         }
-        resp
-    }
-
-    /// Moves the cursor to the next cell, creating it if necessary.
-    fn advance(&self, replay: &mut Replay<S, F::Object>) {
-        let next =
-            replay.cursor.next.load_or_init(|| Arc::new(CellNode::new(self.factory.create())));
-        replay.cursor = next;
-        replay.cell_index += 1;
-        replay.steps += 1;
     }
 }
 
 /// A per-process handle on a [`Universal`] object.
 ///
-/// Holds the process's replay cursor and local state copy; `apply` is
-/// linearizable across handles, with the progress condition of the
-/// underlying consensus factory (wait-free for the factory's wait-free set,
-/// obstruction-free for the rest).
+/// Holds the process's parked replay position and local state copy;
+/// `apply` is linearizable across handles, with the progress condition of
+/// the underlying consensus factory (wait-free for the factory's wait-free
+/// set, obstruction-free for the rest).
 pub struct Handle<'a, S, F>
 where
     S: SequentialSpec,
@@ -621,18 +707,18 @@ where
     /// (placement within ~2·n cells by the helping rule); otherwise
     /// obstruction-free.
     #[progress(bounded_wait_free)]
-    #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
         self.obj.apply_through(&mut self.replay, op)
     }
 
-    /// Seals this handle's fully-replayed state into a checkpoint cell
-    /// agreed through the same consensus path as operations; returns the
-    /// log index of the checkpoint cell.
+    /// Places a checkpoint cell through the same consensus path as
+    /// operations, seals this handle's replayed state at it as the anchor,
+    /// and returns the log index of the checkpoint cell.
     ///
     /// After agreement, fresh handles bootstrap from the sealed state and
     /// replay only the post-checkpoint suffix (O(delta) instead of
-    /// O(history)), and the pre-checkpoint cells become reclaimable.
+    /// O(history)), and the cells before the previous anchor are freed once
+    /// no call in flight still stands on them.
     ///
     /// Progress: lock-free — each failed placement attempt is another
     /// port's operation committing.
@@ -641,9 +727,9 @@ where
         self.obj.checkpoint_through(&mut self.replay)
     }
 
-    /// Applies `op` **and** seals the post-op state in a single agreed
-    /// [`ReconfigRecord`] cell, returning the cell's log index and the op's
-    /// response at its linearization point.
+    /// Applies `op` in a single agreed [`ReconfigRecord`] cell and seals the
+    /// post-op state as the anchor, returning the cell's log index and the
+    /// op's response at its linearization point.
     ///
     /// This is the live-reconfiguration primitive: the op observes exactly
     /// the operations that committed before the bump, every replica applies
@@ -671,9 +757,10 @@ where
         self.replay.steps
     }
 
-    /// Read-only access to the local replica (exact as of the last `apply`).
-    pub fn local_state(&self) -> &S::State {
-        &self.replay.state
+    /// Read-only access to the local replica, exact as of the last call;
+    /// `None` before the first call (a fresh handle holds no state).
+    pub fn local_state(&self) -> Option<&S::State> {
+        self.replay.parked.as_ref().map(|p| &p.state)
     }
 }
 
@@ -717,7 +804,6 @@ where
 
     /// Applies `op` to the shared object; see [`Handle::apply`].
     #[progress(bounded_wait_free)]
-    #[progress(bounded_wait_free)]
     pub fn apply(&mut self, op: S::Op) -> S::Resp {
         self.obj.apply_through(&mut self.replay, op)
     }
@@ -749,9 +835,9 @@ where
         self.replay.steps
     }
 
-    /// Read-only access to the local replica (exact as of the last `apply`).
-    pub fn local_state(&self) -> &S::State {
-        &self.replay.state
+    /// The local replica; see [`Handle::local_state`].
+    pub fn local_state(&self) -> Option<&S::State> {
+        self.replay.parked.as_ref().map(|p| &p.state)
     }
 
     /// The shared object this handle operates on.
@@ -778,6 +864,7 @@ mod tests {
     use super::*;
     use crate::factory::{AsymmetricFactory, CasFactory};
     use crate::seq::{Counter, CounterOp, KvOp, KvStore, Queue, QueueOp};
+    use apc_core::consensus::CasConsensus;
     use apc_core::liveness::Liveness;
     use std::sync::Mutex;
 
@@ -947,7 +1034,7 @@ mod tests {
         let obj = wait_free_counter(2);
         let mut h = obj.handle(0).unwrap();
         h.apply(CounterOp::Add(7));
-        assert_eq!(*h.local_state(), 7);
+        assert_eq!(h.local_state(), Some(&7));
     }
 
     #[test]
@@ -1142,6 +1229,148 @@ mod tests {
         h.checkpoint();
         drop(h);
         drop(obj);
+    }
+
+    fn parked_cell<S: SequentialSpec, F: ConsensusFactory<LogRecordOf<S>>>(
+        handle: &Handle<'_, S, F>,
+    ) -> Weak<CellNode<F::Object>> {
+        handle.replay.parked.as_ref().expect("the handle ran").cell.clone()
+    }
+
+    #[test]
+    fn fresh_handles_hold_no_state() {
+        let obj = wait_free_counter(2);
+        let h = obj.handle(0).unwrap();
+        assert_eq!(h.local_state(), None, "no replica before the first call");
+        assert_eq!(h.replayed_cells(), 0);
+    }
+
+    #[test]
+    fn parked_port_rebootstraps_once_checkpoints_free_its_cell() {
+        let obj = wait_free_counter(3);
+        let mut idle = obj.handle(0).unwrap();
+        let mut busy = obj.handle(1).unwrap();
+        let mut oracle = 5;
+        assert_eq!(idle.apply(CounterOp::Add(5)), oracle);
+        let parked = parked_cell(&idle);
+        for _ in 0..3 {
+            for _ in 0..10 {
+                oracle += 1;
+                assert_eq!(busy.apply(CounterOp::Add(1)), oracle);
+            }
+            busy.checkpoint();
+        }
+        assert!(parked.upgrade().is_none(), "the sealer freed the old window");
+        assert!(obj.live_cells() <= 2 * 11 + 2, "two windows live: {}", obj.live_cells());
+        let steps = idle.replay_steps();
+        oracle += 2;
+        assert_eq!(idle.apply(CounterOp::Add(2)), oracle, "exact after re-bootstrapping");
+        assert_eq!(idle.replay_steps() - steps, 1, "bootstrapped at the anchor, no replay");
+        assert_eq!(idle.local_state(), Some(&oracle));
+        oracle += 1;
+        assert_eq!(busy.apply(CounterOp::Add(1)), oracle, "the other port sees it");
+    }
+
+    #[test]
+    fn port_parked_within_a_window_resumes_by_replay() {
+        let obj = wait_free_counter(2);
+        let mut idle = obj.handle(0).unwrap();
+        let mut busy = obj.handle(1).unwrap();
+        idle.apply(CounterOp::Add(1));
+        busy.apply(CounterOp::Add(1));
+        busy.checkpoint();
+        busy.apply(CounterOp::Add(1));
+        let steps = idle.replay_steps();
+        assert_eq!(idle.apply(CounterOp::Get), 3);
+        assert_eq!(idle.replay_steps() - steps, 4, "replayed the three cells it missed");
+    }
+
+    type Hook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+    /// A CAS factory whose cells run a one-shot hook inside the first
+    /// proposal by `pid` after the hook is armed: a deterministic way to
+    /// run another port between an announcement and its placement.
+    struct HookFactory {
+        liveness: Liveness,
+        pid: usize,
+        hook: Hook,
+    }
+
+    struct HookCell<T> {
+        inner: CasConsensus<T>,
+        pid: usize,
+        hook: Hook,
+    }
+
+    impl<T: Clone + Send + Sync> Consensus<T> for HookCell<T> {
+        fn propose(&self, pid: usize, value: T) -> Result<T, ConsensusError> {
+            if pid == self.pid {
+                let hook = self.hook.lock().unwrap().take();
+                if let Some(hook) = hook {
+                    hook();
+                }
+            }
+            self.inner.propose(pid, value)
+        }
+
+        fn decided(&self) -> Option<&T> {
+            self.inner.decided()
+        }
+    }
+
+    impl<T: Clone + Send + Sync> ConsensusFactory<T> for HookFactory {
+        type Object = HookCell<T>;
+
+        fn create(&self) -> HookCell<T> {
+            HookCell {
+                inner: CasConsensus::new(self.liveness),
+                pid: self.pid,
+                hook: Arc::clone(&self.hook),
+            }
+        }
+
+        fn spec(&self) -> Liveness {
+            self.liveness
+        }
+    }
+
+    #[test]
+    fn helped_op_of_a_rebootstrapped_port_returns_its_response() {
+        let hook: Hook = Arc::new(Mutex::new(None));
+        let liveness = Liveness::new_first_n(3, 3);
+        let factory = HookFactory { liveness, pid: 0, hook: Arc::clone(&hook) };
+        let obj = Arc::new(Universal::new(Counter, factory, 3));
+        let mut victim = obj.owned_handle(0).unwrap();
+        let mut helper = obj.owned_handle(1).unwrap();
+        victim.apply(CounterOp::Add(1));
+        let parked = victim.replay.parked.as_ref().unwrap().cell.clone();
+        for _ in 0..3 {
+            helper.apply(CounterOp::Add(100));
+            helper.checkpoint();
+        }
+        assert!(parked.upgrade().is_none(), "the sealer freed the old window");
+        let before = 301;
+        // Between the victim's announcement and its first proposal, the
+        // helper places the victim's op (the helping rule) and then seals
+        // three anchors past it.
+        let anchors_before = obj.anchor_index();
+        *hook.lock().unwrap() = Some(Box::new(move || {
+            for _ in 0..4 {
+                helper.apply(CounterOp::Add(100));
+            }
+            for _ in 0..3 {
+                helper.checkpoint();
+            }
+        }));
+        let resp = victim.apply(CounterOp::Add(7));
+        assert!(hook.lock().unwrap().is_none(), "the hook ran");
+        assert!(obj.anchor_index() > anchors_before);
+        assert!(
+            victim.replayed_cells() < obj.anchor_index(),
+            "the op was placed by the helper, before its anchors"
+        );
+        assert_eq!((resp - before - 7) % 100, 0, "a response at the op's own position: {resp}");
+        assert_eq!(victim.apply(CounterOp::Get), before + 400 + 7);
     }
 
     #[test]

@@ -24,9 +24,12 @@
 //! ([`Handle::checkpoint`]): any port can seal its fully-replayed state
 //! through the same consensus path, after which fresh handles bootstrap
 //! from the sealed state and replay only the post-checkpoint suffix
-//! (O(delta) instead of O(history)), the retired prefix becomes
-//! reclaimable, and a persistence layer can rebuild the object from a
-//! durable snapshot via [`Universal::recovered`]; and **reconfig cells**
+//! (O(delta) instead of O(history)), and a persistence layer can rebuild
+//! the object from a durable snapshot via [`Universal::recovered`]. Idle
+//! handles hold their log position weakly, so with checkpoints every `k`
+//! cells and no call in flight a log retains at most two windows of
+//! cells (≈ `2k`), one anchor state, and one dead cell allocation per
+//! parked handle ([`Universal::live_cells`] is the gauge); and **reconfig cells**
 //! ([`Handle::reconfigure`]): an operation that also seals the state after
 //! itself, so a service layer can linearize a live reconfiguration (e.g. a
 //! shard-topology bump) against concurrent operations in one agreed cell.

@@ -11,10 +11,9 @@ use std::collections::VecDeque;
 pub trait SequentialSpec: Send + Sync {
     /// The object's state.
     ///
-    /// `Eq + Send + Sync` because sealed state travels through checkpoint
-    /// cells: a [`CheckpointRecord`](crate::CheckpointRecord) is a consensus
-    /// value, and consensus values are compared and shared across threads.
-    type State: Clone + Eq + Send + Sync;
+    /// `Clone` because an anchor seals a copy of a replica, and
+    /// `Send + Sync` because that copy is shared across threads.
+    type State: Clone + Send + Sync;
     /// Operation descriptors (the *invocation*, not the effect).
     type Op: Clone + Eq + Send + Sync;
     /// Operation responses.
@@ -25,6 +24,14 @@ pub trait SequentialSpec: Send + Sync {
 
     /// Applies `op`, mutating the state and producing the response.
     fn apply(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp;
+
+    /// Applies `op` when nobody wants its response — how a replica passes
+    /// other processes' operations. Must leave `state` exactly as
+    /// [`SequentialSpec::apply`] does; a spec may skip building the
+    /// response (and pure reads altogether).
+    fn replay(&self, state: &mut Self::State, op: &Self::Op) {
+        let _ = self.apply(state, op);
+    }
 }
 
 /// A shared counter.
